@@ -406,7 +406,9 @@ pub fn backtrace(
 /// net-bearing cone members as packed `(local rank, net)` pairs — the
 /// same pre-filtering [`ConeMemo`] applies, resolved once per design —
 /// letting a shard screen transition activity straight into dense
-/// per-partition arrays with no hashing in the hot loop.
+/// per-partition arrays with no hashing in the hot loop. Cells are
+/// grouped per observation point, one allocation each, so observers pack
+/// in parallel and the packed entries are never held twice.
 ///
 /// The index is pure topology: building it from the same graph always
 /// yields the same partition, and [`backtrace_sharded`] over any
@@ -416,20 +418,39 @@ pub struct ConeIndex {
     /// Partition → its nodes' global ids, ascending (position = local
     /// rank).
     part_nodes: Vec<Vec<HNodeId>>,
-    /// `(partition * n_obs + obs)` → start of that cell in `entries`.
-    offsets: Vec<usize>,
-    /// Packed cone membership: `(local rank, net)` per net-bearing cone
-    /// node, grouped by partition then observation point.
-    entries: Vec<(u32, NetId)>,
-    n_obs: usize,
+    /// One packed cell per observation point, in [`ObsId`] order.
+    cells: Vec<ObsCell>,
+}
+
+/// The packed cone of one observation point: `(local rank, net)` per
+/// net-bearing cone node, grouped by partition.
+#[derive(Debug)]
+struct ObsCell {
+    /// `ends[p]` is where partition `p`'s run in `entries` ends (it starts
+    /// where partition `p - 1`'s ends).
+    ends: Box<[u32]>,
+    entries: Box<[(u32, NetId)]>,
 }
 
 impl ConeIndex {
     /// Builds the index for `hetero` (whose Topnodes define the cones)
     /// over the gate levels of `nl`, folded into `n_partitions` bands.
     /// Fewer than `n_partitions` distinct levels yield fewer bands;
-    /// `n_partitions == 0` is treated as 1.
+    /// `n_partitions == 0` is treated as 1. The observation points' cells
+    /// are packed on the environment-resolved [`ExecPool`]; the index is
+    /// identical at any thread count.
     pub fn build(nl: &Netlist, hetero: &HeteroGraph, n_partitions: usize) -> ConeIndex {
+        ConeIndex::build_with_pool(nl, hetero, n_partitions, &ExecPool::default())
+    }
+
+    /// [`ConeIndex::build`] packing the observation points' cells on
+    /// `pool`.
+    pub(crate) fn build_with_pool(
+        nl: &Netlist,
+        hetero: &HeteroGraph,
+        n_partitions: usize,
+        pool: &ExecPool,
+    ) -> ConeIndex {
         let _span = m3d_obs::span!("backtrace.index");
         let want = n_partitions.max(1);
         let gate_lvl = topo::levels(nl);
@@ -484,41 +505,37 @@ impl ConeIndex {
             part_nodes[p as usize].push(HNodeId(i as u32));
         }
 
-        // Pack each (partition, obs) cell: count, prefix-sum, fill. Cone
-        // lists are sorted by node id, so every cell comes out ascending
-        // in local rank.
-        let n_obs = hetero.topnodes().len();
-        let mut offsets = vec![0usize; n_parts * n_obs + 1];
-        for (o, tn) in hetero.topnodes().iter().enumerate() {
+        // Pack each observation point's cell: count per partition, turn
+        // the counts into run starts, fill — each start then advances to
+        // its run's end. Cone lists are sorted by node id, so every
+        // partition's run comes out ascending in local rank.
+        let cells = pool.map(hetero.topnodes(), |_, tn| {
+            let mut ends = vec![0u32; n_parts];
             for e in &tn.cone {
                 if hetero.net_of(e.node).is_some() {
-                    let p = part_of[e.node.index()] as usize;
-                    offsets[p * n_obs + o + 1] += 1;
+                    ends[part_of[e.node.index()] as usize] += 1;
                 }
             }
-        }
-        for i in 0..n_parts * n_obs {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut entries = vec![(0u32, NetId(0)); offsets[n_parts * n_obs]];
-        let mut cursor = offsets.clone();
-        for (o, tn) in hetero.topnodes().iter().enumerate() {
+            let mut total = 0u32;
+            for end in ends.iter_mut() {
+                (*end, total) = (total, total + *end);
+            }
+            let mut entries = vec![(0u32, NetId(0)); total as usize].into_boxed_slice();
             for e in &tn.cone {
                 if let Some(net) = hetero.net_of(e.node) {
                     let i = e.node.index();
-                    let cell = part_of[i] as usize * n_obs + o;
-                    entries[cursor[cell]] = (local_of[i], net);
-                    cursor[cell] += 1;
+                    let slot = &mut ends[part_of[i] as usize];
+                    entries[*slot as usize] = (local_of[i], net);
+                    *slot += 1;
                 }
             }
-        }
+            ObsCell {
+                ends: ends.into_boxed_slice(),
+                entries,
+            }
+        });
 
-        ConeIndex {
-            part_nodes,
-            offsets,
-            entries,
-            n_obs,
-        }
+        ConeIndex { part_nodes, cells }
     }
 
     /// Number of partitions actually formed (≤ the requested count).
@@ -532,9 +549,10 @@ impl ConeIndex {
     }
 
     /// The packed net-bearing cone slice of `(partition, obs)`.
-    fn slice(&self, p: usize, obs: ObsId) -> &[(u32, NetId)] {
-        let cell = p * self.n_obs + obs.index();
-        &self.entries[self.offsets[cell]..self.offsets[cell + 1]]
+    pub(crate) fn slice(&self, p: usize, obs: ObsId) -> &[(u32, NetId)] {
+        let cell = &self.cells[obs.index()];
+        let start = if p == 0 { 0 } else { cell.ends[p - 1] };
+        &cell.entries[start as usize..cell.ends[p] as usize]
     }
 }
 

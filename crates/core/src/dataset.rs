@@ -171,14 +171,28 @@ pub struct DesignContext<'a> {
 pub const SHARD_AUTO_NODES: usize = 150_000;
 
 impl<'a> DesignContext<'a> {
-    /// Prepares simulation, graph, and features for `bench`.
+    /// Prepares simulation, graph, and features for `bench`, fanning the
+    /// per-Topnode passes out over the environment-resolved [`ExecPool`].
+    /// A [`Pipeline`](crate::Pipeline) builds its contexts on its
+    /// own pool instead, so [`PipelineBuilder::threads`](crate::PipelineBuilder::threads)
+    /// bounds set-up too.
     pub fn new(bench: &'a TestBench) -> Self {
-        let fsim = FaultSimulator::new(bench.netlist(), &bench.patterns);
-        let hetero = HeteroGraph::build(&bench.m3d, fsim.obs());
-        let features = FeatureExtractor::compute(&bench.m3d, &hetero);
+        DesignContext::with_pool(bench, &ExecPool::default())
+    }
+
+    /// [`DesignContext::new`] on an explicit thread budget: the Topnode
+    /// cones, the Topedge feature aggregates and the [`ConeIndex`] packing
+    /// all run on `pool`. The context is bit-identical at any thread count.
+    pub(crate) fn with_pool(bench: &'a TestBench, pool: &ExecPool) -> Self {
+        let fsim = {
+            let _span = m3d_obs::span!("context.fsim");
+            FaultSimulator::new(bench.netlist(), &bench.patterns)
+        };
+        let hetero = HeteroGraph::build_with_pool(&bench.m3d, fsim.obs(), pool);
+        let features = FeatureExtractor::compute_with_pool(&bench.m3d, &hetero, pool);
         let cone_index = (hetero.node_count() >= SHARD_AUTO_NODES).then(|| {
             let parts = (hetero.node_count() / 75_000).clamp(2, 16);
-            ConeIndex::build(bench.netlist(), &hetero, parts)
+            ConeIndex::build_with_pool(bench.netlist(), &hetero, parts, pool)
         });
         DesignContext {
             bench,

@@ -7,8 +7,17 @@
 //! (log-degree, level fraction, distance fraction) so that the same model
 //! transfers across designs of different sizes — the property Section IV
 //! depends on.
+//!
+//! The Topedge aggregates (count, sums and sums of squares of `D_top` and
+//! `N_MIV`) fan out over an [`ExecPool`] by node range: each worker sums,
+//! for its own nodes, over every Topnode in Topnode order. The sums are
+//! exact `u64` integers, converted to `f64` once per node; every such sum
+//! is below 2^53 (at most `u16::MAX²` per Topedge, at most 2^21 Topnodes),
+//! so the result equals the `f64` running sums it replaces bit for bit, at
+//! any thread count.
 
 use crate::hetero::{HNodeId, HNodeKind, HeteroGraph};
+use m3d_exec::ExecPool;
 use m3d_gnn::Matrix;
 use m3d_netlist::topo;
 use m3d_part::M3dNetlist;
@@ -69,41 +78,36 @@ pub struct FeatureExtractor {
 }
 
 impl FeatureExtractor {
-    /// Computes global features for every node of `hetero`.
+    /// Computes global features for every node of `hetero`, summing the
+    /// Topedge aggregates on the environment-resolved [`ExecPool`]. The
+    /// result is bit-identical at any thread count.
     pub fn compute(m3d: &M3dNetlist, hetero: &HeteroGraph) -> Self {
+        FeatureExtractor::compute_with_pool(m3d, hetero, &ExecPool::default())
+    }
+
+    /// [`FeatureExtractor::compute`] with the Topedge aggregates summed on
+    /// `pool`.
+    pub(crate) fn compute_with_pool(
+        m3d: &M3dNetlist,
+        hetero: &HeteroGraph,
+        pool: &ExecPool,
+    ) -> Self {
+        let _span = m3d_obs::span!("features.compute");
         let n = hetero.node_count();
         let nl = m3d.netlist();
         let levels = topo::levels(nl);
         let depth = levels.iter().copied().max().unwrap_or(1).max(1) as f32;
         let mut x = Matrix::zeros(n, N_FEATURES);
 
-        // Topedge aggregates.
-        let mut cnt = vec![0u32; n];
-        let mut dsum = vec![0f64; n];
-        let mut dsq = vec![0f64; n];
-        let mut msum = vec![0f64; n];
-        let mut msq = vec![0f64; n];
-        let mut max_dist = 1f64;
-        for tn in hetero.topnodes() {
-            for e in &tn.cone {
-                let i = e.node.index();
-                cnt[i] += 1;
-                let d = f64::from(e.dist);
-                let m = f64::from(e.mivs);
-                dsum[i] += d;
-                dsq[i] += d * d;
-                msum[i] += m;
-                msq[i] += m * m;
-                max_dist = max_dist.max(d);
-            }
-        }
+        let (sums, max_dist) = topedge_sums(hetero, pool);
+        let max_dist = f64::from(max_dist.max(1));
 
-        for i in 0..n {
+        for (i, agg) in sums.iter().enumerate() {
             let node = HNodeId(i as u32);
             let (din, dout) = hetero.degrees(node);
             x.set(i, F_FANIN_CIRCUIT, (1.0 + din as f32).ln());
             x.set(i, F_FANOUT_CIRCUIT, (1.0 + dout as f32).ln());
-            x.set(i, F_N_TOP, (1.0 + cnt[i] as f32).ln());
+            x.set(i, F_N_TOP, (1.0 + agg.cnt as f32).ln());
             match hetero.kind(node) {
                 HNodeKind::Pin(pin) => {
                     let tier = m3d.tier_of_site(pin);
@@ -128,12 +132,12 @@ impl FeatureExtractor {
                     x.set(i, F_MIV, 1.0);
                 }
             }
-            if cnt[i] > 0 {
-                let c = f64::from(cnt[i]);
-                let dm = dsum[i] / c;
-                let dv = (dsq[i] / c - dm * dm).max(0.0);
-                let mm = msum[i] / c;
-                let mv = (msq[i] / c - mm * mm).max(0.0);
+            if agg.cnt > 0 {
+                let c = f64::from(agg.cnt);
+                let dm = agg.dsum as f64 / c;
+                let dv = (agg.dsq as f64 / c - dm * dm).max(0.0);
+                let mm = agg.msum as f64 / c;
+                let mv = (agg.msq as f64 / c - mm * mm).max(0.0);
                 x.set(i, F_DTOP_MEAN, (dm / max_dist) as f32);
                 x.set(i, F_DTOP_STD, (dv.sqrt() / max_dist) as f32);
                 x.set(i, F_NMIV_MEAN, (1.0 + mm).ln() as f32);
@@ -152,6 +156,54 @@ impl FeatureExtractor {
     pub fn node_count(&self) -> usize {
         self.x.rows()
     }
+}
+
+/// One node's Topedge aggregates: exact integer sums over every Topnode
+/// whose cone holds the node.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct TopSums {
+    cnt: u32,
+    dsum: u64,
+    dsq: u64,
+    msum: u64,
+    msq: u64,
+}
+
+/// Sums every node's Topedge aggregates on `pool`, and finds the longest
+/// Topedge of the design. Each work item owns a contiguous node range and
+/// finds its run in every (node-sorted) cone by binary search, so no two
+/// workers write the same node and each node sums its Topedges in Topnode
+/// order; the ranges are concatenated in node order.
+fn topedge_sums(hetero: &HeteroGraph, pool: &ExecPool) -> (Vec<TopSums>, u16) {
+    let n = hetero.node_count();
+    let n_ranges = (pool.threads() * 4).min(n.max(1));
+    let ranges = pool.map_indices(n_ranges, |r| {
+        let (lo, hi) = (n * r / n_ranges, n * (r + 1) / n_ranges);
+        let mut sums = vec![TopSums::default(); hi - lo];
+        let mut max_dist = 0u16;
+        for tn in hetero.topnodes() {
+            let cone = &tn.cone;
+            let start = cone.partition_point(|e| e.node.index() < lo);
+            let end = start + cone[start..].partition_point(|e| e.node.index() < hi);
+            for e in &cone[start..end] {
+                let s = &mut sums[e.node.index() - lo];
+                let (d, m) = (u64::from(e.dist), u64::from(e.mivs));
+                s.cnt += 1;
+                s.dsum += d;
+                s.dsq += d * d;
+                s.msum += m;
+                s.msq += m * m;
+                max_dist = max_dist.max(e.dist);
+            }
+        }
+        (sums, max_dist)
+    });
+    let max_dist = ranges.iter().map(|r| r.1).max().unwrap_or(0);
+    let mut sums = Vec::with_capacity(n);
+    for (range, _) in ranges {
+        sums.extend(range);
+    }
+    (sums, max_dist)
 }
 
 /// Normalizes a subgraph-local degree for the `F_FANIN_SUB`/`F_FANOUT_SUB`
@@ -234,6 +286,35 @@ mod tests {
                 row[F_DTOP_MEAN]
             );
             assert!((0.0..=1.0).contains(&row[F_DTOP_STD]));
+        }
+    }
+
+    #[test]
+    fn integer_sums_equal_the_f64_running_sums_at_any_thread_count() {
+        let (_, h) = setup();
+        let n = h.node_count();
+        let mut cnt = vec![0u32; n];
+        let mut f64_sums = vec![[0f64; 4]; n];
+        for tn in h.topnodes() {
+            for e in &tn.cone {
+                let i = e.node.index();
+                let (d, m) = (f64::from(e.dist), f64::from(e.mivs));
+                cnt[i] += 1;
+                let acc = &mut f64_sums[i];
+                acc[0] += d;
+                acc[1] += d * d;
+                acc[2] += m;
+                acc[3] += m * m;
+            }
+        }
+        for threads in [1, 2, 3] {
+            let (sums, _) = topedge_sums(&h, &ExecPool::with_threads(threads));
+            assert_eq!(sums.len(), n);
+            for (i, s) in sums.iter().enumerate() {
+                assert_eq!(s.cnt, cnt[i]);
+                let exact = [s.dsum, s.dsq, s.msum, s.msq].map(|v| (v as f64).to_bits());
+                assert_eq!(exact, f64_sums[i].map(f64::to_bits), "node {i}");
+            }
         }
     }
 

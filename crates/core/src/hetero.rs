@@ -12,11 +12,27 @@
 //! (Table I's `D_top` / `N_MIV`). Construction is a single reverse BFS per
 //! Topnode, `O(|V| + |E|)` overall per Topnode set, run once per design
 //! and reused for every failure log.
+//!
+//! **Parallel cone build.** Topnodes fan out over an [`ExecPool`]: each
+//! worker owns one reusable scratch (an epoch stamp per node, a packed
+//! `dist | mivs << 16` word per node and a flat FIFO queue), so no cone
+//! allocates or clears a node-sized array. The FIFO order — hence every
+//! node's first discovering parent and its `dist`/`mivs` — is the classic
+//! queue BFS, and each cone is a pure function of its Topnode, so the
+//! Topnodes come back bit-identical at any thread count. Each cone is
+//! emitted in node order with exact capacity by one scan of the stamp
+//! array — `O(|V|)` per Topnode, the same as the fresh node-sized arrays
+//! the classic BFS allocates — so no cone is sorted.
+//!
+//! **Counter width.** `dist` and `mivs` are computed in `u32` and stored as
+//! `u16`; a Topedge further than `u16::MAX` nodes from its Topnode
+//! saturates at `u16::MAX` (its `mivs` clamps the same way) and bumps the
+//! `hetero.dist_saturated` counter, never wrapping.
 
+use m3d_exec::ExecPool;
 use m3d_netlist::{GateId, NetId, Pin, PinRef};
 use m3d_part::{M3dNetlist, MivId};
 use m3d_sim::{ObsId, ObsPoints};
-use std::collections::VecDeque;
 
 /// Dense id of a heterogeneous-graph node (a pin or an MIV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -82,8 +98,16 @@ pub struct HeteroGraph {
 }
 
 impl HeteroGraph {
-    /// Builds the heterogeneous graph for `m3d` with Topnodes for `obs`.
+    /// Builds the heterogeneous graph for `m3d` with Topnodes for `obs`,
+    /// fanning the cones out over the environment-resolved [`ExecPool`].
+    /// The result is bit-identical at any thread count.
     pub fn build(m3d: &M3dNetlist, obs: &ObsPoints) -> Self {
+        HeteroGraph::build_with_pool(m3d, obs, &ExecPool::default())
+    }
+
+    /// [`HeteroGraph::build`] with the Topnode cones built on `pool`.
+    pub(crate) fn build_with_pool(m3d: &M3dNetlist, obs: &ObsPoints, pool: &ExecPool) -> Self {
+        let _span = m3d_obs::span!("hetero.build");
         let nl = m3d.netlist();
         // --- Pin-node id space.
         let mut pin_offset = Vec::with_capacity(nl.gate_count() + 1);
@@ -196,15 +220,39 @@ impl HeteroGraph {
         };
 
         // --- Top level: one reverse BFS per observation point.
-        let mut topnodes = Vec::with_capacity(obs.len());
-        for (obs_id, point) in obs.iter() {
-            let start = graph.pin_of(PinRef::input(point.gate, 0));
-            topnodes.push(TopNode {
-                obs: obs_id,
-                cone: graph.reverse_bfs(start),
-            });
+        let _cones_span = m3d_obs::span!("hetero.cones");
+        let starts: Vec<HNodeId> = obs
+            .iter()
+            .map(|(_, point)| graph.pin_of(PinRef::input(point.gate, 0)))
+            .collect();
+        let cones = pool.map_init(
+            &starts,
+            || ConeScratch::new(n_nodes),
+            |scratch, _, &start| scratch.cone(&graph, start),
+        );
+        let mut saturated = 0u64;
+        graph.topnodes = obs
+            .iter()
+            .zip(cones)
+            .map(|((obs_id, _), (cone, sat))| {
+                saturated += sat;
+                TopNode { obs: obs_id, cone }
+            })
+            .collect();
+        if saturated > 0 {
+            m3d_obs::counter!("hetero.dist_saturated", saturated);
+            m3d_obs::warn!(
+                "hetero: {saturated} Topedges lie more than {} nodes from their Topnode; \
+                 their D_top/N_MIV saturate at that value",
+                u16::MAX
+            );
         }
-        graph.topnodes = topnodes;
+        let entries: usize = graph.topnodes.iter().map(|t| t.cone.len()).sum();
+        m3d_obs::gauge!("hetero.cone_entries", entries as f64);
+        m3d_obs::gauge!(
+            "hetero.cone_bytes",
+            (entries * std::mem::size_of::<TopEdge>()) as f64
+        );
         graph
     }
 
@@ -293,11 +341,14 @@ impl HeteroGraph {
         }
     }
 
-    fn reverse_bfs(&self, start: HNodeId) -> Vec<TopEdge> {
+    /// The reference cone construction the parallel build must match:
+    /// a fresh BFS with a `VecDeque`, then a sort by node id.
+    #[cfg(test)]
+    pub(crate) fn reverse_bfs(&self, start: HNodeId) -> Vec<TopEdge> {
         let mut dist = vec![u16::MAX; self.node_count()];
         let mut mivs = vec![0u16; self.node_count()];
         let mut out = Vec::new();
-        let mut q = VecDeque::new();
+        let mut q = std::collections::VecDeque::new();
         dist[start.index()] = 0;
         q.push_back(start.0);
         while let Some(u) = q.pop_front() {
@@ -318,6 +369,84 @@ impl HeteroGraph {
         }
         out.sort_unstable_by_key(|e| e.node);
         out
+    }
+}
+
+/// Where a Topedge's `dist` and `mivs` counters saturate; also the mask
+/// of one counter in a packed `dist | mivs << 16` word.
+const COUNTER_MAX: u32 = u16::MAX as u32;
+
+/// One worker's reusable reverse-BFS scratch. A node belongs to the
+/// current cone iff its stamp equals the current epoch, so nothing is
+/// cleared between cones.
+struct ConeScratch {
+    stamp: Vec<u32>,
+    /// `dist | mivs << 16` of every node stamped with the current epoch.
+    word: Vec<u32>,
+    /// FIFO queue; after a BFS it holds exactly the cone, in visit order.
+    queue: Vec<u32>,
+    epoch: u32,
+}
+
+impl ConeScratch {
+    fn new(n_nodes: usize) -> Self {
+        ConeScratch {
+            stamp: vec![0; n_nodes],
+            word: vec![0; n_nodes],
+            queue: Vec::new(),
+            epoch: 0,
+        }
+    }
+
+    /// The fan-in cone of `start` in node order, plus how many of its
+    /// Topedges saturated their counters.
+    fn cone(&mut self, graph: &HeteroGraph, start: HNodeId) -> (Vec<TopEdge>, u64) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        let pin_total = graph.pin_total;
+        let mut saturated = 0u64;
+        self.queue.clear();
+        self.stamp[start.index()] = epoch;
+        self.word[start.index()] = 0;
+        self.queue.push(start.0);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let w = self.word[u as usize];
+            for &v in graph.predecessors(HNodeId(u)) {
+                let vi = v as usize;
+                if self.stamp[vi] != epoch {
+                    self.stamp[vi] = epoch;
+                    // MIV nodes occupy the ids past the pins.
+                    let dist = (w & COUNTER_MAX) + 1;
+                    let mivs = (w >> 16) + u32::from(v >= pin_total);
+                    if dist > COUNTER_MAX || mivs > COUNTER_MAX {
+                        saturated += 1;
+                    }
+                    self.word[vi] = dist.min(COUNTER_MAX) | mivs.min(COUNTER_MAX) << 16;
+                    self.queue.push(v);
+                }
+            }
+        }
+
+        let word = &self.word;
+        let mut out = Vec::with_capacity(self.queue.len());
+        out.extend(
+            self.stamp
+                .iter()
+                .enumerate()
+                .filter(|&(_, &s)| s == epoch)
+                .map(|(v, _)| TopEdge {
+                    node: HNodeId(v as u32),
+                    dist: (word[v] & COUNTER_MAX) as u16,
+                    mivs: (word[v] >> 16) as u16,
+                }),
+        );
+        (out, saturated)
     }
 }
 
@@ -447,6 +576,111 @@ mod tests {
             }
         }
         assert!(seen_miv_edge, "some cone must contain an MIV");
+    }
+
+    #[test]
+    fn deep_buffer_chain_saturates_instead_of_wrapping() {
+        // input → 33,000 buffers → output: the input's output pin sits
+        // 2 · 33,000 + 1 = 66,001 nodes from the Topnode.
+        const BUFS: usize = 33_000;
+        let mut nl = Netlist::new();
+        let mut net = nl.add_input();
+        for _ in 0..BUFS {
+            net = nl.add_gate(CellKind::Buf, &[net]).unwrap();
+        }
+        nl.add_output(net);
+        let part = TierPartition::new(vec![Tier(0); BUFS + 2], 2);
+        let m3d = M3dNetlist::build(nl, part);
+        let obs = ObsPoints::collect(m3d.netlist());
+        let h = HeteroGraph::build_with_pool(&m3d, &obs, &ExecPool::serial());
+        let start = h.pin_of(PinRef::input(obs.point(ObsId(0)).gate, 0));
+        let (cone, saturated) = ConeScratch::new(h.node_count()).cone(&h, start);
+        assert_eq!(cone, h.topnode(ObsId(0)).cone);
+        assert_eq!(
+            cone.len(),
+            2 * BUFS + 2,
+            "every node once: no wrap re-visits"
+        );
+        let deepest = 2 * BUFS + 1;
+        assert_eq!(saturated as usize, deepest - usize::from(u16::MAX));
+        let at_cap = cone.iter().filter(|e| e.dist == u16::MAX).count();
+        assert_eq!(at_cap, deepest - usize::from(u16::MAX) + 1);
+        assert!(cone.iter().all(|e| e.mivs == 0));
+        assert_eq!(cone.iter().filter(|e| e.dist == 0).count(), 1);
+    }
+
+    #[test]
+    fn scratch_epochs_survive_wraparound() {
+        let m3d = small_m3d();
+        let obs = ObsPoints::collect(m3d.netlist());
+        let h = HeteroGraph::build_with_pool(&m3d, &obs, &ExecPool::serial());
+        let mut scratch = ConeScratch::new(h.node_count());
+        scratch.epoch = u32::MAX - 1;
+        for tn in h.topnodes().iter().take(4) {
+            let start = h.pin_of(PinRef::input(obs.point(tn.obs).gate, 0));
+            assert_eq!(scratch.cone(&h, start).0, tn.cone);
+        }
+    }
+
+    #[test]
+    fn parallel_setup_matches_the_serial_reference_on_quick_profiles() {
+        use crate::backtrace::ConeIndex;
+        use crate::dataset::DesignContext;
+        use crate::design::{DesignConfig, TestBench, TestBenchConfig};
+        use m3d_netlist::BenchmarkProfile;
+
+        for profile in BenchmarkProfile::ALL {
+            for config in [DesignConfig::Syn1, DesignConfig::Par] {
+                let bench = TestBench::build(&TestBenchConfig::quick(profile, config));
+                let serial = DesignContext::with_pool(&bench, &ExecPool::serial());
+                let h = &serial.hetero;
+                for tn in h.topnodes() {
+                    let start = h.pin_of(PinRef::input(serial.fsim.obs().point(tn.obs).gate, 0));
+                    assert_eq!(tn.cone, h.reverse_bfs(start), "{}", bench.name);
+                }
+                // The packed index, derived straight from the cones.
+                let index = ConeIndex::build_with_pool(bench.netlist(), h, 3, &ExecPool::serial());
+                let mut rank = vec![(0, 0u32); h.node_count()];
+                for p in 0..index.n_partitions() {
+                    for (r, n) in index.nodes_of(p).iter().enumerate() {
+                        rank[n.index()] = (p, r as u32);
+                    }
+                }
+                let reference = |p: usize, tn: &TopNode| -> Vec<(u32, NetId)> {
+                    tn.cone
+                        .iter()
+                        .filter(|e| rank[e.node.index()].0 == p)
+                        .filter_map(|e| Some((rank[e.node.index()].1, h.net_of(e.node)?)))
+                        .collect()
+                };
+                for threads in [1, 2, 3] {
+                    let pool = ExecPool::with_threads(threads);
+                    let what = format!("{} at {threads} threads", bench.name);
+                    let ctx = DesignContext::with_pool(&bench, &pool);
+                    assert_eq!(ctx.hetero.topnodes(), h.topnodes(), "{what}: cones");
+                    for i in 0..h.node_count() {
+                        let (a, b) = (
+                            ctx.features.node_row(HNodeId(i as u32)),
+                            serial.features.node_row(HNodeId(i as u32)),
+                        );
+                        let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(a), bits(b), "{what}: feature row {i}");
+                    }
+                    let packed = ConeIndex::build_with_pool(bench.netlist(), h, 3, &pool);
+                    assert_eq!(packed.n_partitions(), index.n_partitions());
+                    for tn in h.topnodes() {
+                        for p in 0..packed.n_partitions() {
+                            assert_eq!(
+                                packed.slice(p, tn.obs),
+                                reference(p, tn).as_slice(),
+                                "{what}: cell ({p}, {:?})",
+                                tn.obs
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

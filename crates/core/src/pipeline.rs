@@ -41,8 +41,9 @@ impl PipelineBuilder {
     }
 
     /// Worker-thread budget for every parallel stage the pipeline runs
-    /// (training restarts, dataset generation, gradient minibatches).
-    /// `1` forces fully serial execution.
+    /// (training restarts, dataset generation, gradient minibatches, and
+    /// the design set-up of the sessions it opens). `1` forces fully
+    /// serial execution.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
         self
@@ -161,7 +162,8 @@ impl Pipeline {
     ///
     /// Verifies the artifact's design fingerprint against `bench` before
     /// reconstructing the models, so a drifted generator or the wrong
-    /// bench cannot silently serve a mismatched circuit.
+    /// bench cannot silently serve a mismatched circuit. The session's
+    /// design context is built on the pipeline's pool.
     ///
     /// # Errors
     ///
@@ -181,7 +183,7 @@ impl Pipeline {
         }
         let framework = artifact.rebuild_framework()?;
         Ok(DiagnosisSession::new(
-            DesignContext::new(bench),
+            DesignContext::with_pool(bench, &self.pool),
             framework,
             DiagnosisConfig::default(),
         ))
@@ -190,14 +192,14 @@ impl Pipeline {
     /// Seals an in-process training result into a read-only
     /// [`DiagnosisSession`] — the same endpoint [`Pipeline::load_artifact`]
     /// produces, without the disk round trip. Diagnoses are bit-identical
-    /// either way.
+    /// either way; the design context is built on the pipeline's pool.
     pub fn open_session<'a>(
         &self,
         framework: Framework,
         bench: &'a TestBench,
     ) -> DiagnosisSession<'a> {
         DiagnosisSession::new(
-            DesignContext::new(bench),
+            DesignContext::with_pool(bench, &self.pool),
             framework,
             DiagnosisConfig::default(),
         )

@@ -12,7 +12,9 @@
 //! computed independently and the caller consumes results in a fixed
 //! order, a parallel run is bit-identical to a serial one — the
 //! determinism contract the training loops rely on (see DESIGN.md
-//! "Threading model").
+//! "Threading model"). [`ExecPool::map_init`] additionally hands each
+//! worker one reusable scratch value, for regions whose items each need a
+//! large buffer.
 //!
 //! Thread budget resolution, in priority order:
 //!
@@ -132,10 +134,39 @@ impl ExecPool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
+        self.map_init(items, || (), |(), i, item| f(i, item))
+    }
+
+    /// [`ExecPool::map`] with per-worker state: every worker calls `init`
+    /// once and hands the resulting value to each of its items as
+    /// `f(&mut state, index, &item)`. This is how a region reuses one
+    /// scratch buffer per worker instead of allocating it per item.
+    ///
+    /// The state must only ever be scratch: which items share a state
+    /// depends on the schedule, so a result that read anything an
+    /// earlier item left in it would break the bit-identity contract.
+    /// Results come back in input order, exactly as from `map`; a serial
+    /// pool calls `init` once and runs every item inline.
+    ///
+    /// # Panics
+    ///
+    /// As [`ExecPool::map`].
+    pub fn map_init<T, S, R, I, F>(&self, items: &[T], init: I, f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize, &T) -> R + Sync,
+    {
         let n = items.len();
         let workers = self.threads.min(n);
         if workers <= 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+            let mut state = init();
+            return items
+                .iter()
+                .enumerate()
+                .map(|(i, t)| f(&mut state, i, t))
+                .collect();
         }
 
         // Chunk size: enough chunks per worker (4) for stealing to
@@ -154,6 +185,7 @@ impl ExecPool {
                         // span opens, so steady-state `exec.worker` spans
                         // allocate nothing.
                         let mut local: Vec<(usize, R)> = Vec::with_capacity(n);
+                        let mut state = init();
                         let _trace = trace_ctx.install();
                         let _span = m3d_obs::span!("exec.worker");
                         loop {
@@ -163,7 +195,7 @@ impl ExecPool {
                             }
                             let end = (start + chunk).min(n);
                             for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                                local.push((i, f(i, item)));
+                                local.push((i, f(&mut state, i, item)));
                             }
                         }
                         local
@@ -295,6 +327,30 @@ mod tests {
             }
         }
         std::panic::set_hook(prev);
+    }
+
+    #[test]
+    fn map_init_builds_one_state_per_worker_and_keeps_order() {
+        use std::sync::atomic::AtomicUsize;
+        let items: Vec<u64> = (0..301).collect();
+        for threads in [1, 2, 3, 8] {
+            let inits = AtomicUsize::new(0);
+            let out = ExecPool::with_threads(threads).map_init(
+                &items,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::<u64>::new()
+                },
+                |scratch, i, &x| {
+                    scratch.clear();
+                    scratch.extend(0..=x);
+                    (i as u64, scratch.iter().sum::<u64>())
+                },
+            );
+            let want: Vec<(u64, u64)> = items.iter().map(|&x| (x, x * (x + 1) / 2)).collect();
+            assert_eq!(out, want, "{threads} threads");
+            assert!(inits.load(Ordering::Relaxed) <= threads);
+        }
     }
 
     #[test]
